@@ -237,12 +237,15 @@ pub fn kv_open_loop(
     let t0 = Instant::now();
     let mut i = 0u64;
     while i < requests {
-        let due = t0 + Duration::from_secs_f64(i as f64 / offered_rps);
+        // Sleep until the batch's *last* arrival is due, so no request
+        // is submitted ahead of its arrival stamp (a future stamp would
+        // read as zero latency).
+        let end = (i + batch).min(requests);
+        let due = t0 + Duration::from_secs_f64((end - 1) as f64 / offered_rps);
         let now = Instant::now();
         if due > now {
             std::thread::sleep(due - now);
         }
-        let end = (i + batch).min(requests);
         while i < end {
             let at = t0 + Duration::from_secs_f64(i as f64 / offered_rps);
             submit_request(&mut rt, i, shards, &mut rng, Some(at));

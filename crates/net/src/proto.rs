@@ -14,10 +14,11 @@
 //!   sum intact under duplicate faults) and treats a forward jump as
 //!   proof of frame loss — a typed error the moment the *next* frame
 //!   (or an idle heartbeat) lands, instead of a silent stall.
-//! * **`check`** — FNV-1a over `seq ++ tag ++ fields`, truncated to
-//!   32 bits. A flipped bit anywhere in the payload fails the
-//!   checksum even when the mutated bytes would still parse, so
-//!   corruption can never masquerade as a valid (wrong) message.
+//! * **`check`** — a 64-bit word-wise hash of `seq ++ tag ++ fields`,
+//!   folded to 32 bits (see `frame_check`). A flipped bit anywhere in
+//!   the payload fails the checksum even when the mutated bytes would
+//!   still parse, so corruption can never masquerade as a valid
+//!   (wrong) message.
 //!
 //! A [`NetMsg::Shard`] embeds a full [`WireMsg`] (which carries its
 //! own version byte) — the transport layer is a dumb router for
@@ -37,8 +38,9 @@ pub const MAGIC: [u8; 4] = *b"EM2N";
 /// failure-control messages (`Heartbeat`/`Abort`/`Bye`). Version 3
 /// stamps every `Shard` frame with the sender's directory epoch and a
 /// bounce budget, and adds the live-handoff family
-/// (`HandoffRequest`…`EpochUpdate`, `Bounce`).
-pub const PROTO_VERSION: u8 = 3;
+/// (`HandoffRequest`…`EpochUpdate`, `Bounce`). Version 4 replaces the
+/// byte-wise FNV-1a checksum with a word-wise one (DESIGN.md §9).
+pub const PROTO_VERSION: u8 = 4;
 
 /// One node-to-node control message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -210,77 +212,100 @@ pub enum NetMsg {
     },
 }
 
-/// FNV-1a over `seq ++ body`, truncated to 32 bits — the frame
-/// integrity check.
+/// Bytes before the body: magic, version, `seq`, `check`.
+const HEADER_LEN: usize = 17;
+
+/// The frame integrity check over `seq ++ body`, folded to 32 bits:
+/// the body as 8-byte little-endian words, then the zero-padded tail
+/// word, then the length. Each step is a bijection of the 64-bit state
+/// (xor the word in, multiply by an odd constant, rotate), so a changed
+/// word always changes it; a last multiply spreads that over the fold.
 fn frame_check(seq: u64, body: &[u8]) -> u32 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(&seq.to_le_bytes());
-    eat(body);
+    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29);
+    let mut h = step(0xcbf2_9ce4_8422_2325, seq);
+    let mut words = body.chunks_exact(8);
+    for w in &mut words {
+        h = step(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+    }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    h = step(step(h, u64::from_le_bytes(tail)), body.len() as u64);
+    let h = (h ^ (h >> 32)).wrapping_mul(0xff51_afd7_ed55_8ccd);
     (h ^ (h >> 32)) as u32
 }
 
 impl NetMsg {
-    /// Encode as a frame payload carrying sequence number `seq`.
+    /// Encode as a frame payload carrying sequence number `seq`: the
+    /// header with a checksum placeholder, the body in place behind
+    /// it, then the checksum patched in — one buffer, one pass.
     pub fn encode(&self, seq: u64) -> Vec<u8> {
-        let mut body = Vec::with_capacity(16);
+        let mut b = Vec::with_capacity(self.frame_len_bound());
+        b.extend_from_slice(&MAGIC);
+        b.push(PROTO_VERSION);
+        put_u64(&mut b, seq);
+        put_u32(&mut b, 0);
         match self {
             NetMsg::Hello {
                 node,
                 wire_version,
                 topology,
             } => {
-                body.push(0);
-                put_u32(&mut body, *node);
-                body.push(*wire_version);
-                put_u64(&mut body, *topology);
+                b.push(0);
+                put_u32(&mut b, *node);
+                b.push(*wire_version);
+                put_u64(&mut b, *topology);
             }
             NetMsg::HelloAck { node, topology } => {
-                body.push(1);
-                put_u32(&mut body, *node);
-                put_u64(&mut body, *topology);
+                b.push(1);
+                put_u32(&mut b, *node);
+                put_u64(&mut b, *topology);
             }
             NetMsg::Shard {
                 to,
                 epoch,
                 retries,
                 msg,
+            }
+            | NetMsg::Bounce {
+                to,
+                epoch,
+                retries,
+                msg,
             } => {
-                body.push(2);
-                put_u32(&mut body, *to);
-                put_u64(&mut body, *epoch);
-                put_u32(&mut body, *retries);
-                msg.encode_into(&mut body);
+                b.push(if matches!(self, NetMsg::Shard { .. }) {
+                    2
+                } else {
+                    17
+                });
+                put_u32(&mut b, *to);
+                put_u64(&mut b, *epoch);
+                put_u32(&mut b, *retries);
+                msg.encode_into(&mut b);
             }
             NetMsg::BarrierArrive { k } => {
-                body.push(3);
-                put_u32(&mut body, *k);
+                b.push(3);
+                put_u32(&mut b, *k);
             }
             NetMsg::BarrierRelease { k } => {
-                body.push(4);
-                put_u32(&mut body, *k);
+                b.push(4);
+                put_u32(&mut b, *k);
             }
             NetMsg::Closed { submitted } => {
-                body.push(5);
-                put_u64(&mut body, *submitted);
+                b.push(5);
+                put_u64(&mut b, *submitted);
             }
-            NetMsg::Retired => body.push(6),
-            NetMsg::Quiesce => body.push(7),
-            NetMsg::Heartbeat => body.push(8),
+            NetMsg::Retired => b.push(6),
+            NetMsg::Quiesce => b.push(7),
+            NetMsg::Heartbeat => b.push(8),
             NetMsg::Abort { reason } => {
-                body.push(9);
-                put_bytes(&mut body, reason.as_bytes());
+                b.push(9);
+                put_bytes(&mut b, reason.as_bytes());
             }
-            NetMsg::Bye => body.push(10),
+            NetMsg::Bye => b.push(10),
             NetMsg::HandoffRequest { shard, to } => {
-                body.push(11);
-                put_u32(&mut body, *shard);
-                put_u32(&mut body, *to);
+                b.push(11);
+                put_u32(&mut b, *shard);
+                put_u32(&mut b, *to);
             }
             NetMsg::HandoffPrepare {
                 hid,
@@ -288,11 +313,11 @@ impl NetMsg {
                 to,
                 epoch,
             } => {
-                body.push(12);
-                put_u64(&mut body, *hid);
-                put_u32(&mut body, *shard);
-                put_u32(&mut body, *to);
-                put_u64(&mut body, *epoch);
+                b.push(12);
+                put_u64(&mut b, *hid);
+                put_u32(&mut b, *shard);
+                put_u32(&mut b, *to);
+                put_u64(&mut b, *epoch);
             }
             NetMsg::HandoffExpect {
                 hid,
@@ -300,51 +325,53 @@ impl NetMsg {
                 from,
                 epoch,
             } => {
-                body.push(13);
-                put_u64(&mut body, *hid);
-                put_u32(&mut body, *shard);
-                put_u32(&mut body, *from);
-                put_u64(&mut body, *epoch);
+                b.push(13);
+                put_u64(&mut b, *hid);
+                put_u32(&mut b, *shard);
+                put_u32(&mut b, *from);
+                put_u64(&mut b, *epoch);
             }
             NetMsg::HandoffTransfer { hid, shard, state } => {
-                body.push(14);
-                put_u64(&mut body, *hid);
-                put_u32(&mut body, *shard);
-                state.encode_into(&mut body);
+                b.push(14);
+                put_u64(&mut b, *hid);
+                put_u32(&mut b, *shard);
+                state.encode_into(&mut b);
             }
             NetMsg::HandoffDone { hid, shard } => {
-                body.push(15);
-                put_u64(&mut body, *hid);
-                put_u32(&mut body, *shard);
+                b.push(15);
+                put_u64(&mut b, *hid);
+                put_u32(&mut b, *shard);
             }
             NetMsg::EpochUpdate { epoch, owners } => {
-                body.push(16);
-                put_u64(&mut body, *epoch);
-                put_u32(&mut body, owners.len() as u32);
+                b.push(16);
+                put_u64(&mut b, *epoch);
+                put_u32(&mut b, owners.len() as u32);
                 for &o in owners {
-                    put_u32(&mut body, o);
+                    put_u32(&mut b, o);
                 }
             }
-            NetMsg::Bounce {
-                to,
-                epoch,
-                retries,
-                msg,
-            } => {
-                body.push(17);
-                put_u32(&mut body, *to);
-                put_u64(&mut body, *epoch);
-                put_u32(&mut body, *retries);
-                msg.encode_into(&mut body);
-            }
         }
-        let mut b = Vec::with_capacity(body.len() + 17);
-        b.extend_from_slice(&MAGIC);
-        b.push(PROTO_VERSION);
-        put_u64(&mut b, seq);
-        put_u32(&mut b, frame_check(seq, &body));
-        b.extend_from_slice(&body);
+        let check = frame_check(seq, &b[HEADER_LEN..]);
+        b[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&check.to_le_bytes());
         b
+    }
+
+    /// Bounds the encoded frame so [`NetMsg::encode`] allocates once:
+    /// every fixed field at its widest plus an envelope's variable
+    /// parts. Rare control frames (handoff transfers, epoch updates of
+    /// many shards) may still grow the buffer.
+    fn frame_len_bound(&self) -> usize {
+        match self {
+            NetMsg::Shard {
+                msg: WireMsg::Arrive(e),
+                ..
+            }
+            | NetMsg::Bounce {
+                msg: WireMsg::Arrive(e),
+                ..
+            } => 102 + e.task_ctx.len() + e.scheme_state.len() + 17 * e.journey.hops.len(),
+            _ => 72,
+        }
     }
 
     /// Decode a frame payload into `(seq, message)`. Never panics;
@@ -396,18 +423,26 @@ impl NetMsg {
                 node: r.u32()?,
                 topology: r.u64()?,
             },
-            2 => {
-                let to = r.u32()?;
-                let epoch = r.u64()?;
-                let retries = r.u32()?;
+            tag @ (2 | 17) => {
+                let (to, epoch, retries) = (r.u32()?, r.u64()?, r.u32()?);
                 // The embedded WireMsg consumes the rest of the frame.
+                let msg = WireMsg::decode(r.rest())?;
                 return Ok((
                     seq,
-                    NetMsg::Shard {
-                        to,
-                        epoch,
-                        retries,
-                        msg: WireMsg::decode(r.rest())?,
+                    if tag == 2 {
+                        NetMsg::Shard {
+                            to,
+                            epoch,
+                            retries,
+                            msg,
+                        }
+                    } else {
+                        NetMsg::Bounce {
+                            to,
+                            epoch,
+                            retries,
+                            msg,
+                        }
                     },
                 ));
             }
@@ -464,21 +499,6 @@ impl NetMsg {
                     owners.push(r.u32()?);
                 }
                 NetMsg::EpochUpdate { epoch, owners }
-            }
-            17 => {
-                let to = r.u32()?;
-                let epoch = r.u64()?;
-                let retries = r.u32()?;
-                // The embedded WireMsg consumes the rest of the frame.
-                return Ok((
-                    seq,
-                    NetMsg::Bounce {
-                        to,
-                        epoch,
-                        retries,
-                        msg: WireMsg::decode(r.rest())?,
-                    },
-                ));
             }
             tag => {
                 return Err(CodecError::BadTag {
@@ -658,6 +678,123 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// A frame around an arbitrary body, with a valid checksum.
+    fn raw_frame(seq: u64, body: &[u8]) -> Vec<u8> {
+        let mut b = MAGIC.to_vec();
+        b.push(PROTO_VERSION);
+        put_u64(&mut b, seq);
+        put_u32(&mut b, frame_check(seq, body));
+        b.extend_from_slice(body);
+        b
+    }
+
+    #[test]
+    fn checksum_catches_every_bit_flip_on_the_word_path_and_the_tail() {
+        // Body lengths 0–24 cover no words, whole words, and every
+        // tail length. Any one flipped bit of `seq`, `check` or the
+        // body must fail on the checksum itself — not on a parse error
+        // that a luckier flip would get past.
+        for len in 0..=24usize {
+            for fill in [0x00u8, 0xA5] {
+                let body: Vec<u8> = (0..len)
+                    .map(|i| fill ^ (i as u8).wrapping_mul(37))
+                    .collect();
+                let frame = raw_frame(0x0123_4567_89AB_CDEF, &body);
+                assert!(
+                    !matches!(
+                        NetMsg::decode(&frame),
+                        Err(WireError::Codec(CodecError::Checksum { .. }))
+                    ),
+                    "len {len}: the intact frame must pass the checksum"
+                );
+                for byte in MAGIC.len() + 1..frame.len() {
+                    for bit in 0..8 {
+                        let mut mutated = frame.clone();
+                        mutated[byte] ^= 1 << bit;
+                        assert!(
+                            matches!(
+                                NetMsg::decode(&mutated),
+                                Err(WireError::Codec(CodecError::Checksum { .. }))
+                            ),
+                            "len {len}: flip at {byte}.{bit} passed the checksum"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A trace-replay migration as the runtime ships it: the arrival
+    /// access, the run in progress, a stateless scheme, no detours.
+    fn trace_task_arrival() -> NetMsg {
+        use em2_rt::{Task, TraceTask};
+        let w = std::sync::Arc::new(em2_trace::gen::micro::uniform(2, 2, 8, 4, 0.0, 1));
+        let task = TraceTask::new(w, em2_model::ThreadId(1));
+        NetMsg::Shard {
+            to: 5,
+            epoch: 1,
+            retries: 0,
+            msg: WireMsg::Arrive(em2_rt::wire::WireEnvelope {
+                thread: 1,
+                native: 1,
+                task_kind: task.wire_kind().expect("trace tasks cross processes"),
+                task_ctx: task.context_bytes(),
+                scheme_state: Vec::new(),
+                pending_op: Some(em2_rt::wire::WireOp::Read(0x40)),
+                pending_reply: None,
+                parked_at: None,
+                run: Some((5, 3)),
+                journey: em2_rt::wire::Journey::default(),
+            }),
+        }
+    }
+
+    #[test]
+    fn a_trace_task_migration_frame_is_pinned_at_its_size() {
+        // 17 header + 17 routing + 2 wire header + 10 ids + 28 context
+        // + 4 scheme + 10 op + 1 reply + 1 barrier + 11 run + 5 empty
+        // journey. Any per-frame growth must change this on purpose.
+        let m = trace_task_arrival();
+        assert_eq!(m.encode(9).len(), 106);
+    }
+
+    #[test]
+    fn the_length_bound_holds_for_every_frame_but_a_transfer() {
+        let widest = NetMsg::Bounce {
+            to: 1,
+            epoch: 2,
+            retries: 3,
+            msg: WireMsg::Arrive(em2_rt::wire::WireEnvelope {
+                thread: 1,
+                native: 2,
+                task_kind: 3,
+                task_ctx: vec![7; 40],
+                scheme_state: vec![8; 30],
+                pending_op: Some(em2_rt::wire::WireOp::Write(4, 5)),
+                pending_reply: Some(6),
+                parked_at: Some(7),
+                run: Some((8, 9)),
+                journey: em2_rt::wire::Journey {
+                    hops: vec![
+                        em2_rt::wire::JourneyHop {
+                            shard: 1,
+                            node: 2,
+                            epoch: 3,
+                            cause: em2_rt::wire::HopCause::Bounce,
+                        };
+                        3
+                    ],
+                    dropped: 0,
+                },
+            }),
+        };
+        for m in variants().into_iter().chain([trace_task_arrival(), widest]) {
+            if !matches!(m, NetMsg::HandoffTransfer { .. }) {
+                assert!(m.encode(0).len() <= m.frame_len_bound(), "{m:?}");
             }
         }
     }

@@ -13,18 +13,22 @@
 //!    snapshots into cluster totals while shards change owner neither
 //!    double-counts nor drops counters, histograms, attribution rows,
 //!    or handoff-phase traces (DESIGN.md §14).
+//! 4. **Routes live in the rings** — a task's cross-node route reads
+//!    back from the nodes' merged trace rings alone, so envelopes need
+//!    not carry it.
 
-use em2_core::decision::{DecisionScheme, HistoryPredictor};
+use em2_core::decision::{AlwaysMigrate, DecisionScheme, HistoryPredictor};
 use em2_net::{
     run_workload_cluster_chaos, run_workload_cluster_in_process,
     run_workload_cluster_in_process_with_handoffs, ClusterSpec, ClusterTimeouts, CounterSummary,
-    FaultPlan, TransportKind,
+    FaultPlan, NodeRuntime, TransportKind,
 };
-use em2_obs::{NodeObs, ObsConfig, Snapshot};
+use em2_obs::{Event, EventKind, NodeObs, ObsConfig, Snapshot};
 use em2_placement::{FirstTouch, Placement};
-use em2_rt::RtConfig;
+use em2_rt::{RtConfig, TaskRegistry, TaskSpec, TraceTask};
 use em2_trace::gen::micro;
 use em2_trace::Workload;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 const NODES: usize = 2;
@@ -105,6 +109,135 @@ fn enabled_obs_is_invisible_to_the_deterministic_counters() {
         assert!(s.wire_bytes > 0);
         assert_eq!(s.flush_ns.count, s.wire_flushes);
     }
+}
+
+/// Walk task `task`'s route through the per-shard rings (indexed by
+/// global shard): start at its native shard, follow each
+/// `migrate-out` to the shard it names, stop at `retire`. Returns the
+/// `(shard, kind)` steps and asserts every ring event of the task was
+/// used, so the route is complete and nothing is left over.
+fn route(rings: &[Vec<Event>], task: u64, native: usize) -> Vec<(usize, EventKind)> {
+    let mut left: Vec<VecDeque<Event>> = rings
+        .iter()
+        .map(|r| {
+            r.iter()
+                .filter(|e| {
+                    e.task == task
+                        && matches!(
+                            e.kind,
+                            EventKind::Arrive | EventKind::MigrateOut | EventKind::Retire
+                        )
+                })
+                .copied()
+                .collect()
+        })
+        .collect();
+    let mut at = native;
+    let mut steps = Vec::new();
+    loop {
+        let e = left[at]
+            .pop_front()
+            .unwrap_or_else(|| panic!("task {task}: route breaks at shard {at} after {steps:?}"));
+        steps.push((at, e.kind));
+        match e.kind {
+            EventKind::MigrateOut => at = e.a as usize,
+            EventKind::Retire => break,
+            _ => {}
+        }
+    }
+    assert!(
+        left.iter().all(VecDeque::is_empty),
+        "task {task}: events off its route"
+    );
+    steps
+}
+
+#[test]
+fn a_cross_node_route_reads_back_from_the_merged_rings() {
+    let w = Arc::new(workload());
+    let placement: Arc<dyn Placement> = Arc::new(FirstTouch::build(&w, SHARDS, 64));
+    let mut cfg = RtConfig::eviction_free(SHARDS, w.num_threads());
+    let mut obs = ObsConfig::on();
+    obs.ring = 1 << 14; // holds the whole run: nothing overwritten
+    cfg.obs = Some(obs);
+    let spec = spec("route");
+    let quotas = em2_engine::barrier_quotas(w.threads.iter().map(|t| t.barriers.len()));
+    let nodes: Vec<(em2_net::NetReport, Arc<NodeObs>)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..NODES)
+            .map(|node| {
+                let (spec, cfg, w) = (spec.clone(), cfg.clone(), Arc::clone(&w));
+                let (placement, quotas) = (Arc::clone(&placement), quotas.clone());
+                s.spawn(move || {
+                    let (first, count) = spec.span(node);
+                    let mut nrt = NodeRuntime::start(
+                        spec,
+                        node,
+                        cfg,
+                        w.name.clone(),
+                        placement,
+                        TaskRegistry::for_workload(Arc::clone(&w)),
+                        || Box::new(AlwaysMigrate),
+                        quotas,
+                    )
+                    .expect("node starts");
+                    for t in &w.threads {
+                        if (first..first + count).contains(&t.native.index()) {
+                            let task = TraceTask::new(Arc::clone(&w), t.thread);
+                            nrt.submit(TaskSpec::new(Box::new(task), t.native), t.thread);
+                        }
+                    }
+                    let obs = nrt.obs().expect("obs is on");
+                    (nrt.finish().expect("node finishes"), obs)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("node thread"))
+            .collect()
+    });
+
+    // Each node keeps a ring per global shard (ownership may move);
+    // without handoffs only the owner's ring of a shard has events.
+    let mut rings = vec![Vec::new(); SHARDS];
+    for (node, (report, obs)) in nodes.iter().enumerate() {
+        // No handoffs, so no detours: every envelope crossed empty.
+        assert_eq!(report.obs.as_ref().expect("snapshot").journey_hops, 0);
+        for (g, ring) in rings.iter_mut().enumerate() {
+            let r = obs.shard(g).ring();
+            assert_eq!(r.dropped(), 0, "node {node}'s ring of shard {g} overflowed");
+            assert!(spec.owner_of(g) == node || r.is_empty());
+            ring.extend(r.events());
+        }
+    }
+    let mut walked = 0u64;
+    let mut crossings = 0u64;
+    // Thread 0's events carry task id 0, the untagged sentinel.
+    for t in w.threads.iter().filter(|t| t.thread.0 != 0) {
+        let steps = route(&rings, u64::from(t.thread.0), t.native.index());
+        assert_eq!(steps[0], (t.native.index(), EventKind::Arrive));
+        assert_eq!(steps.last().map(|s| s.1), Some(EventKind::Retire));
+        for pair in steps.windows(2) {
+            let [(from, kind), (to, next)] = [pair[0], pair[1]];
+            if kind == EventKind::MigrateOut {
+                assert_eq!(next, EventKind::Arrive, "a migration lands as an arrival");
+                walked += 1;
+                crossings += u64::from(spec.owner_of(from) != spec.owner_of(to));
+            } else {
+                assert_ne!(next, EventKind::Arrive, "an arrival follows a migration");
+            }
+        }
+    }
+    assert!(crossings > 0, "the workload must move tasks across nodes");
+    // Thread 0's migrations are the untagged migrate-outs; with them,
+    // the routes account for every migration the counters saw.
+    let untagged = rings
+        .iter()
+        .flatten()
+        .filter(|e| e.task == 0 && e.kind == EventKind::MigrateOut)
+        .count() as u64;
+    let migrations: u64 = nodes.iter().map(|(r, _)| r.rt.flow.migrations).sum();
+    assert_eq!(walked + untagged, migrations);
 }
 
 /// Property 3, live half: run a 2-node cluster whose shards change

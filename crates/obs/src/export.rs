@@ -58,20 +58,21 @@ impl Exporter {
                         let (lock, cv) = &*stop;
                         let mut stopped = lock.lock().expect("exporter stop lock");
                         loop {
-                            let (guard, timeout) = cv
-                                .wait_timeout(stopped, interval)
-                                .expect("exporter stop cv");
-                            stopped = guard;
+                            // Waiting *while* the flag is clear checks it
+                            // first, so a finish() that lands before this
+                            // wait returns at once instead of waiting out
+                            // the interval.
+                            stopped = cv
+                                .wait_timeout_while(stopped, interval, |stopped| !*stopped)
+                                .expect("exporter stop cv")
+                                .0;
                             if *stopped {
                                 return;
                             }
-                            if timeout.timed_out() {
-                                // Snapshot without the lock held? The
-                                // lock only guards the stop flag and is
-                                // never contended by recorders; holding
-                                // it keeps the loop simple.
-                                let _ = append_line(&path, &obs.snapshot_json());
-                            }
+                            // The lock only guards the stop flag and is
+                            // never contended by recorders; holding it
+                            // keeps the loop simple.
+                            let _ = append_line(&path, &obs.snapshot_json());
                         }
                     })
                     .expect("spawn exporter"),

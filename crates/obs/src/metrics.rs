@@ -165,6 +165,11 @@ impl ShardObs {
             .store(self.epoch.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 
+    /// This shard's trace ring (read its events with [`Ring::events`]).
+    pub fn ring(&self) -> &Ring {
+        &self.ring
+    }
+
     /// Record the current guest-pool occupancy (updates the HWM).
     #[inline]
     pub fn set_guest_occupancy(&self, n: u64) {

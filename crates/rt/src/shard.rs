@@ -92,10 +92,11 @@ pub(crate) struct Envelope {
     /// the hot local path extends a run without touching anything
     /// shared; a run *boundary* bins into the shard-local histogram.
     pub run: Option<(CoreId, u64)>,
-    /// The task's migration journey: a bounded hop log carried like
-    /// scheme state. Recorded unconditionally (it is wire payload, and
-    /// the deterministic experiments compare wire bytes bit-for-bit);
-    /// only the retirement dump into the trace ring is obs-gated.
+    /// The task's network detours (bounces and handoff replays): the
+    /// hops no shard ring can attribute to the task, so empty unless
+    /// it met a handoff. Recorded unconditionally (it is wire payload,
+    /// and the deterministic experiments compare wire bytes
+    /// bit-for-bit); only the retirement dump is obs-gated.
     pub journey: crate::wire::Journey,
 }
 
@@ -373,6 +374,13 @@ impl Shared {
         // the completed push, which is what makes the queue's mid-push
         // blip benign (see `crate::mpsc`).
         mb.queue.push(msg);
+        // The push ends in a Release store of its queue link, and a
+        // later load may be ordered before an earlier store (x86 store
+        // buffers do it). Unfenced, the state load below could read
+        // QUEUED while the link is still invisible to that pending
+        // poll, which then drains nothing, goes IDLE, and strands the
+        // message.
+        std::sync::atomic::fence(Ordering::SeqCst);
         match &self.sched {
             None => mb.wake_dedicated(),
             Some(sched) => loop {
@@ -922,28 +930,7 @@ impl ShardCore {
     /// evict, or stall when every guest slot is pinned. A fresh guest
     /// arrival queues behind earlier stalled ones so admission order
     /// is arrival order.
-    fn admit(&mut self, shared: &Shared, mut env: Box<Envelope>) {
-        // Journey bookkeeping is unconditional (module docs on
-        // `Envelope::journey`): the hop log is wire payload. A
-        // migration lands carrying its arrival access; the very first
-        // arrival of a task is its submission; other arrivals
-        // (eviction returns, handoff replays) are recorded by their own
-        // cause sites or deliberately not at all.
-        if env.pending_op.is_some() {
-            env.journey.push(crate::wire::JourneyHop {
-                shard: self.id as u32,
-                node: shared.node_id,
-                epoch: shared.directory.epoch(),
-                cause: crate::wire::HopCause::Migrate,
-            });
-        } else if env.journey.hops.is_empty() {
-            env.journey.push(crate::wire::JourneyHop {
-                shard: self.id as u32,
-                node: shared.node_id,
-                epoch: shared.directory.epoch(),
-                cause: crate::wire::HopCause::Submit,
-            });
-        }
+    fn admit(&mut self, shared: &Shared, env: Box<Envelope>) {
         if let Some(o) = &self.obs {
             o.arrivals.bump(1);
             if env.pending_op.is_some() {
@@ -1339,12 +1326,6 @@ impl ShardCore {
                     // scheme sees the run-end observation only after
                     // deciding the access that ended the run.
                     self.track(&mut env, home);
-                    env.journey.push(crate::wire::JourneyHop {
-                        shard: home.index() as u32,
-                        node: shared.node_id,
-                        epoch: shared.directory.epoch(),
-                        cause: crate::wire::HopCause::Remote,
-                    });
                     if write_value.is_some() {
                         self.counters.flow.remote_writes += 1;
                     } else {
@@ -1417,9 +1398,9 @@ impl ShardCore {
         if let Some(o) = &self.obs {
             o.retired.bump(1);
             o.task_latency_ns.record(latency_ns);
-            // Dump the journey into the trace ring so the task's
-            // cross-cluster path is reconstructible from this node's
-            // flight recording, then the retire event closes it.
+            // Dump the network detours into the trace ring (the rings
+            // already hold the task's arrivals and migrations), then
+            // the retire event closes the route.
             for h in &env.journey.hops {
                 o.event(
                     EventKind::JourneyHop,

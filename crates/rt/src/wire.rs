@@ -107,7 +107,9 @@ impl From<SchemeStateError> for WireError {
 ///
 /// The codes are the wire encoding (one byte per hop) and also what a
 /// `journey-hop` trace event packs into its payload, so a flight
-/// recording decodes without this enum in hand.
+/// recording decodes without this enum in hand. The runtime records
+/// only [`HopCause::Bounce`] and [`HopCause::HandoffReplay`] (the
+/// other steps are task-scoped shard ring events).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HopCause {
     /// Initial placement at the task's native shard.
@@ -162,16 +164,15 @@ pub struct JourneyHop {
     pub cause: HopCause,
 }
 
-/// Most hops an envelope carries before further hops are only counted.
-/// Keep-first-N (not a ring): the head of a journey — submission and
-/// the first migrations — is what explains a placement; the tail is
-/// recoverable from the destination shard's own trace ring.
+/// Most hops an envelope carries before further hops are only counted
+/// (keep-first-N: the first detours a task met are kept).
 pub const JOURNEY_CAP: usize = 16;
 
-/// The bounded per-envelope hop log — a task's migration journey,
-/// carried in the [`WireEnvelope`] like scheme state so the path
-/// survives every process boundary, and dumped into the trace ring at
-/// retirement (DESIGN.md §14).
+/// The bounded per-envelope hop log of a task's network detours,
+/// carried in the [`WireEnvelope`] like scheme state so the detours
+/// survive every process boundary, and dumped into the trace ring at
+/// retirement (DESIGN.md §14). A task that meets no handoff carries an
+/// empty journey: 5 encoded bytes, and a clone that allocates nothing.
 ///
 /// Journeys are recorded **unconditionally**, obs plane or not: the
 /// deterministic experiments compare wire byte counts bit-for-bit, so
