@@ -145,21 +145,13 @@ fn main() {
             cal.workload
         );
         let rt_cal = perf::calibrate_runtime();
-        let rt_base = perf::calibrate_runtime_thread_per_shard();
         println!(
-            "  runtime: {:.0} ops/s on {} ({} shards / {} workers, host parallelism {}); \
-             thread-per-shard baseline {:.0} ops/s ({:.2}x)",
+            "  runtime: {:.0} ops/s on {} ({} shards / {} workers, host parallelism {})",
             rt_cal.ops_per_sec(),
             rt_cal.workload,
             rt_cal.report.shards,
             rt_cal.report.sched.workers,
             perf::host_parallelism(),
-            rt_base.ops_per_sec(),
-            if rt_base.ops_per_sec() > 0.0 {
-                rt_cal.ops_per_sec() / rt_base.ops_per_sec()
-            } else {
-                0.0
-            }
         );
         let obs_overhead = perf::calibrate_obs_overhead();
         println!(
@@ -185,10 +177,9 @@ fn main() {
         let scaling = perf::shard_scaling_sweep();
         for p in &scaling {
             println!(
-                "  scaling S={:>4}: multiplexed {:>12.0} ops/s | thread-per-shard {:>12.0} ops/s",
+                "  scaling S={:>4}: multiplexed {:>12.0} ops/s",
                 p.shards,
-                p.multiplexed.ops_per_sec(),
-                p.thread_per_shard.ops_per_sec()
+                p.ops_per_sec()
             );
         }
         let latency = em2_bench::serving::measure_latency_panel();
@@ -243,7 +234,6 @@ fn main() {
             &suite,
             &cal,
             &rt_cal,
-            &rt_base,
             &obs_overhead,
             &placement,
             &scaling,

@@ -1071,6 +1071,7 @@ pub fn e12_transport(scale: Scale) -> Table {
                 &w,
                 &placement,
                 factory,
+                &[],
             )
             .expect("loopback cluster");
             let total = CounterSummary::sum(reports.iter().map(CounterSummary::from_net));
@@ -1119,8 +1120,8 @@ fn history_scheme() -> Box<dyn DecisionScheme> {
 /// hang or a wrong sum.
 pub fn e13_elastic_membership(scale: Scale) -> Table {
     use em2_net::{
-        run_workload_cluster_chaos_with_handoffs, run_workload_cluster_in_process_with_handoffs,
-        ClusterSpec, ClusterTimeouts, CounterSummary, FaultPlan, TransportKind,
+        run_workload_cluster_chaos, run_workload_cluster_in_process, ClusterSpec, ClusterTimeouts,
+        CounterSummary, FaultPlan, TransportKind,
     };
     let cores = scale.cores();
     let mut t = Table::new(
@@ -1191,10 +1192,9 @@ pub fn e13_elastic_membership(scale: Scale) -> Table {
             // Three genuine moves: a shard out of node 0, a shard into
             // node 0, and the first one back again.
             let handoffs = [(1usize, nodes - 1), (cores - 2, 0), (1, 0)];
-            let reports = run_workload_cluster_in_process_with_handoffs(
-                &spec, &cfg, &w, &placement, factory, &handoffs,
-            )
-            .expect("E13 handoff cluster");
+            let reports =
+                run_workload_cluster_in_process(&spec, &cfg, &w, &placement, factory, &handoffs)
+                    .expect("E13 handoff cluster");
             let total = CounterSummary::sum(reports.iter().map(CounterSummary::from_net));
             assert!(
                 total.counters_equal(&expected),
@@ -1237,7 +1237,7 @@ pub fn e13_elastic_membership(scale: Scale) -> Table {
         });
         let plan = Arc::new(FaultPlan::new().crash_node(1, 6));
         let t0 = Instant::now();
-        let results = run_workload_cluster_chaos_with_handoffs(
+        let results = run_workload_cluster_chaos(
             &spec,
             &cfg,
             &w,
@@ -1315,6 +1315,7 @@ pub fn e14_placement_scorecard(scale: Scale) -> Table {
             &w,
             &placement,
             factory,
+            &[],
         )
         .expect("E14 loopback cluster");
         let summed: u64 = reports

@@ -87,19 +87,22 @@ fn run_child(arg: &str) -> io::Result<()> {
                 Arc::new(FirstTouch::build(&w, spec.total_shards, 64));
             let w = Arc::new(w);
             run_workload_cluster(
+                spec.kind.make(),
                 spec.clone(),
                 node,
                 RtConfig::eviction_free(spec.total_shards, threads),
                 &w,
                 placement,
                 scheme,
+                &[],
             )?
         }
         "kv" => {
             // A pure server node: it submits nothing and serves
             // migrated-in KV request tasks and remote accesses.
             let placement: Arc<dyn Placement> = Arc::new(Striped::new(KV_SHARDS, 64));
-            let nrt = NodeRuntime::start(
+            let nrt = NodeRuntime::start_with_transport(
+                spec.kind.make(),
                 spec.clone(),
                 node,
                 RtConfig::with_shards(KV_SHARDS),
@@ -240,6 +243,7 @@ pub fn measure_transport() -> io::Result<Vec<TransportPoint>> {
         &w,
         &placement,
         scheme,
+        &[],
     )?;
     let loopback = CounterSummary::sum(reports.iter().map(CounterSummary::from_net));
     assert!(
@@ -265,7 +269,16 @@ pub fn measure_transport() -> io::Result<Vec<TransportPoint>> {
         let parent = {
             let (w, placement) = (Arc::clone(&w), Arc::clone(&placement));
             run_parent_with_child(child, "e12-ocean", move || {
-                Ok(run_workload_cluster(spec, 0, cfg, &w, placement, scheme)?)
+                Ok(run_workload_cluster(
+                    spec.kind.make(),
+                    spec,
+                    0,
+                    cfg,
+                    &w,
+                    placement,
+                    scheme,
+                    &[],
+                )?)
             })?
         };
         let mut uds = CounterSummary::from_net(&parent);
@@ -324,7 +337,8 @@ pub fn measure_kv_uds(requests: u64) -> io::Result<KvUdsPoint> {
 
     let parent = run_parent_with_child(child, "e12-kv", move || {
         let placement: Arc<dyn Placement> = Arc::new(Striped::new(KV_SHARDS, 64));
-        let mut nrt = NodeRuntime::start(
+        let mut nrt = NodeRuntime::start_with_transport(
+            spec.kind.make(),
             spec.clone(),
             0,
             RtConfig::with_shards(KV_SHARDS),
@@ -465,8 +479,15 @@ pub fn measure_fault_matrix() -> Vec<FaultClassPoint> {
                 heartbeat_ms: 25,
             });
             let plan = Arc::new(mk(nth));
-            let results =
-                em2_net::run_workload_cluster_chaos(&spec, &cfg, &w, &placement, scheme, &plan);
+            let results = em2_net::run_workload_cluster_chaos(
+                &spec,
+                &cfg,
+                &w,
+                &placement,
+                scheme,
+                &plan,
+                &[],
+            );
             let rest = Instant::now();
             if results.iter().all(|(r, _)| r.is_ok()) {
                 completed += 1;
@@ -574,6 +595,7 @@ mod tests {
             &w,
             &placement,
             scheme,
+            &[],
         )
         .expect("loopback cluster");
         let total = CounterSummary::sum(reports.iter().map(CounterSummary::from_net));

@@ -90,27 +90,8 @@ impl RuntimeCalibration {
     }
 }
 
-/// Time one quick-scale OCEAN replay on the `em2-rt` runtime (pure
-/// EM²: every non-local access migrates for real) under the given
-/// executor — one definition of the calibration workload, so the
-/// multiplexed/baseline pair in `BENCH.json` always measures the same
-/// thing.
-fn calibrate_runtime_mode(executor: em2_rt::ExecutorMode, label: &str) -> RuntimeCalibration {
-    calibrate_runtime_with(executor, None, label)
-}
-
-fn calibrate_runtime_with(
-    executor: em2_rt::ExecutorMode,
-    obs: Option<em2_obs::ObsConfig>,
-    label: &str,
-) -> RuntimeCalibration {
-    let scale = Scale::Quick;
-    calibrate_runtime_on(workloads::ocean(scale), executor, obs, label)
-}
-
 fn calibrate_runtime_on(
     w: em2_trace::Workload,
-    executor: em2_rt::ExecutorMode,
     obs: Option<em2_obs::ObsConfig>,
     label: &str,
 ) -> RuntimeCalibration {
@@ -119,7 +100,6 @@ fn calibrate_runtime_on(
     let threads = w.num_threads();
     let w = Arc::new(w);
     let mut cfg = em2_rt::RtConfig::eviction_free(scale.cores(), threads);
-    cfg.executor = executor;
     if obs.is_some() {
         cfg.obs = obs;
     }
@@ -130,20 +110,10 @@ fn calibrate_runtime_on(
     }
 }
 
-/// The multiplexed-executor runtime calibration.
+/// Time one quick-scale OCEAN replay on the `em2-rt` runtime (pure
+/// EM²: every non-local access migrates for real).
 pub fn calibrate_runtime() -> RuntimeCalibration {
-    calibrate_runtime_mode(em2_rt::ExecutorMode::Multiplexed, "ocean/quick/rt-em2")
-}
-
-/// The same calibration on the thread-per-shard baseline (the PR 3
-/// runtime layout): identical workload, placement, and scheme, so the
-/// `ops_per_sec` pair in `BENCH.json` is a same-host measurement of
-/// the multiplexed executor against its predecessor.
-pub fn calibrate_runtime_thread_per_shard() -> RuntimeCalibration {
-    calibrate_runtime_mode(
-        em2_rt::ExecutorMode::ThreadPerShard,
-        "ocean/quick/rt-em2/thread-per-shard",
-    )
+    calibrate_runtime_on(workloads::ocean(Scale::Quick), None, "ocean/quick/rt-em2")
 }
 
 /// The obs-plane overhead measurement: the identical calibration
@@ -170,8 +140,8 @@ impl ObsOverhead {
     }
 }
 
-/// Measure the obs plane's cost on the multiplexed-executor
-/// calibration shape, stretched to 4× the quick iterations
+/// Measure the obs plane's cost on the runtime calibration shape,
+/// stretched to 4× the quick iterations
 /// ([`workloads::ocean_obs_calibration`]) so each timed run is ~60 ms
 /// instead of ~15 ms — long enough that page faults, frequency ramps,
 /// and allocator-layout luck stop dominating a ±5% comparison.
@@ -207,12 +177,7 @@ pub fn calibrate_obs_overhead() -> ObsOverhead {
 /// [`calibrate_obs_overhead`] for the repetition layer above it).
 fn calibrate_obs_overhead_once() -> ObsOverhead {
     let run = |obs: em2_obs::ObsConfig, label: &str| {
-        calibrate_runtime_on(
-            workloads::ocean_obs_calibration(),
-            em2_rt::ExecutorMode::Multiplexed,
-            Some(obs),
-            label,
-        )
+        calibrate_runtime_on(workloads::ocean_obs_calibration(), Some(obs), label)
     };
     let best = |a: RuntimeCalibration, b: RuntimeCalibration| {
         if b.ops_per_sec() > a.ops_per_sec() {
@@ -236,55 +201,30 @@ fn calibrate_obs_overhead_once() -> ObsOverhead {
     ObsOverhead { off, on }
 }
 
-/// One point of the shard-scaling sweep: the same fixed-size workload
-/// on `shards` shards, multiplexed vs thread-per-shard.
-pub struct ScalingPoint {
-    /// Shard count of this point.
-    pub shards: usize,
-    /// Multiplexed-executor report.
-    pub multiplexed: em2_rt::RtReport,
-    /// Thread-per-shard baseline report (`shards` OS threads).
-    pub thread_per_shard: em2_rt::RtReport,
-}
-
 /// The shard-scaling sweep: S ∈ {16, 64, 256, 1024} shards on a fixed
 /// worker pool (the host's parallelism), total op count held constant,
-/// so ops/sec isolates executor overhead. The multiplexed curve must
-/// stay flat while the thread-per-shard baseline pays for S OS threads
-/// — the collapse `BENCH.json` records.
-pub fn shard_scaling_sweep() -> Vec<ScalingPoint> {
+/// so ops/sec isolates executor overhead — the curve must stay flat as
+/// the shard count grows past the host's threads.
+pub fn shard_scaling_sweep() -> Vec<em2_rt::RtReport> {
     [16usize, 64, 256, 1024]
         .into_iter()
         .map(scaling_point)
         .collect()
 }
 
-/// One shard-scaling measurement: 64 tasks, ~200k total accesses,
+/// The shard-scaling workload: 64 tasks, ~200k total accesses,
 /// uniformly shared lines — the same work at every S; only the shard
 /// geometry grows.
-pub fn scaling_point(shards: usize) -> ScalingPoint {
-    let tasks = 64;
-    let w = Arc::new(em2_trace::gen::micro::uniform(
-        tasks,
-        shards,
-        3_000,
-        2_048,
-        0.3,
-        0x5ca1e + shards as u64,
-    ));
+fn scaling_workload(shards: usize) -> em2_trace::Workload {
+    em2_trace::gen::micro::uniform(64, shards, 3_000, 2_048, 0.3, 0x5ca1e + shards as u64)
+}
+
+/// One shard-scaling measurement on `shards` shards.
+pub fn scaling_point(shards: usize) -> em2_rt::RtReport {
+    let w = Arc::new(scaling_workload(shards));
     let placement: Arc<dyn Placement> = Arc::new(em2_placement::FirstTouch::build(&w, shards, 64));
-    let run = |executor: em2_rt::ExecutorMode| {
-        let mut cfg = em2_rt::RtConfig::eviction_free(shards, tasks);
-        cfg.executor = executor;
-        em2_rt::run_workload(cfg, &w, Arc::clone(&placement), || {
-            Box::new(em2_core::AlwaysMigrate)
-        })
-    };
-    ScalingPoint {
-        shards,
-        multiplexed: run(em2_rt::ExecutorMode::Multiplexed),
-        thread_per_shard: run(em2_rt::ExecutorMode::ThreadPerShard),
-    }
+    let cfg = em2_rt::RtConfig::eviction_free(shards, w.num_threads());
+    em2_rt::run_workload(cfg, &w, placement, || Box::new(em2_core::AlwaysMigrate))
 }
 
 /// The host's available parallelism, as the sweep engine and the
@@ -293,25 +233,6 @@ pub fn scaling_point(shards: usize) -> ScalingPoint {
 /// actually engage on the build host.
 pub fn host_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Escape a string for a JSON literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Render a table with its measured-timing cells replaced by `<t>`:
@@ -368,31 +289,36 @@ pub fn tables_digest<'a>(tables: impl Iterator<Item = &'a Table>) -> String {
 
 /// Serialize a suite run (plus calibrations, the shard-scaling sweep,
 /// the open-loop latency panel, and the cross-process transport
-/// calibration) as the `BENCH.json` body — schema 8. Every schema-7
-/// field survives unchanged (trajectory tooling keeps parsing); the
-/// body gains a top-level `placement` block — E14's placement
-/// scorecard (DESIGN.md §14): per-scheme attributed cost of the
-/// placement the obs-on runtime actually executed, against the DP
-/// bound on the same KV-shaped stream. The schema-7 `obs_overhead`
-/// (acceptance bar ≤ 5%), the schema-6 egress-pipeline telemetry, and
-/// the schema-5 transport/kv/fault-matrix blocks remain as they were.
+/// calibration) as the `BENCH.json` body — schema 9, which is schema
+/// 8 without the thread-per-shard baseline keys. Schema 8 added the
+/// top-level `placement` block — E14's placement scorecard
+/// (DESIGN.md §14): per-scheme attributed cost of the placement the
+/// obs-on runtime actually executed, against the DP bound on the same
+/// KV-shaped stream. The schema-7 `obs_overhead` (acceptance bar
+/// ≤ 5%), the schema-6 egress-pipeline telemetry, and the schema-5
+/// transport/kv/fault-matrix blocks remain as they were.
 #[allow(clippy::too_many_arguments)]
 pub fn bench_json(
     suite: &SuiteResult,
     calibration: &Calibration,
     runtime: &RuntimeCalibration,
-    baseline: &RuntimeCalibration,
     obs: &ObsOverhead,
     placement: &crate::scorecard::PlacementScorecard,
-    scaling: &[ScalingPoint],
+    scaling: &[em2_rt::RtReport],
     latency: &[crate::serving::LatencyReport],
     transport: &[crate::netproc::TransportPoint],
     kv_uds: Option<&crate::netproc::KvUdsPoint>,
     fault_matrix: &[crate::netproc::FaultClassPoint],
 ) -> String {
+    // A JSON string literal, quotes included.
+    let quoted = |v: &str| {
+        let mut out = String::with_capacity(v.len() + 2);
+        em2_obs::json::push_str_escaped(&mut out, v);
+        out
+    };
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": 8,");
+    let _ = writeln!(s, "  \"schema\": 9,");
     let _ = writeln!(
         s,
         "  \"scale\": \"{}\",",
@@ -417,9 +343,9 @@ pub fn bench_json(
             .unwrap_or_default();
         let _ = write!(
             s,
-            "    {{\"id\": \"{}\", \"title\": \"{}\", \"wall_s\": {:.6}}}",
-            json_escape(run.id),
-            json_escape(title),
+            "    {{\"id\": {}, \"title\": {}, \"wall_s\": {:.6}}}",
+            quoted(run.id),
+            quoted(title),
             run.wall.as_secs_f64()
         );
         s.push_str(if i + 1 < suite.runs.len() {
@@ -430,11 +356,7 @@ pub fn bench_json(
     }
     s.push_str("  ],\n");
     let _ = writeln!(s, "  \"calibration\": {{");
-    let _ = writeln!(
-        s,
-        "    \"workload\": \"{}\",",
-        json_escape(&calibration.workload)
-    );
+    let _ = writeln!(s, "    \"workload\": {},", quoted(&calibration.workload));
     let _ = writeln!(s, "    \"accesses\": {},", calibration.accesses);
     let _ = writeln!(s, "    \"sim_cycles\": {},", calibration.sim_cycles);
     let _ = writeln!(s, "    \"wall_s\": {:.6},", calibration.wall.as_secs_f64());
@@ -450,11 +372,7 @@ pub fn bench_json(
     );
     s.push_str("  },\n");
     let _ = writeln!(s, "  \"runtime\": {{");
-    let _ = writeln!(
-        s,
-        "    \"workload\": \"{}\",",
-        json_escape(&runtime.workload)
-    );
+    let _ = writeln!(s, "    \"workload\": {},", quoted(&runtime.workload));
     let _ = writeln!(s, "    \"shards\": {},", runtime.report.shards);
     let _ = writeln!(s, "    \"ops\": {},", runtime.report.total_ops());
     let _ = writeln!(
@@ -465,26 +383,8 @@ pub fn bench_json(
     let _ = writeln!(s, "    \"ops_per_sec\": {:.1},", runtime.ops_per_sec());
     let _ = writeln!(s, "    \"executor\": \"multiplexed\",");
     let _ = writeln!(s, "    \"workers\": {},", runtime.report.sched.workers);
-    let _ = writeln!(s, "    \"baseline_thread_per_shard\": {{");
-    let _ = writeln!(
-        s,
-        "      \"wall_s\": {:.6},",
-        baseline.report.wall.as_secs_f64()
-    );
-    let _ = writeln!(s, "      \"ops_per_sec\": {:.1}", baseline.ops_per_sec());
-    s.push_str("    },\n");
-    let speedup = if baseline.ops_per_sec() > 0.0 {
-        runtime.ops_per_sec() / baseline.ops_per_sec()
-    } else {
-        0.0
-    };
-    let _ = writeln!(s, "    \"speedup_vs_thread_per_shard\": {speedup:.3},");
     let _ = writeln!(s, "    \"obs_overhead\": {{");
-    let _ = writeln!(
-        s,
-        "      \"workload\": \"{}\",",
-        json_escape(&obs.off.workload)
-    );
+    let _ = writeln!(s, "      \"workload\": {},", quoted(&obs.off.workload));
     let _ = writeln!(s, "      \"ops\": {},", obs.off.report.total_ops());
     let _ = writeln!(
         s,
@@ -498,11 +398,10 @@ pub fn bench_json(
     for (i, p) in scaling.iter().enumerate() {
         let _ = write!(
             s,
-            "      {{\"shards\": {}, \"ops\": {}, \"multiplexed_ops_per_sec\": {:.1}, \"thread_per_shard_ops_per_sec\": {:.1}}}",
+            "      {{\"shards\": {}, \"ops\": {}, \"multiplexed_ops_per_sec\": {:.1}}}",
             p.shards,
-            p.multiplexed.total_ops(),
-            p.multiplexed.ops_per_sec(),
-            p.thread_per_shard.ops_per_sec()
+            p.total_ops(),
+            p.ops_per_sec()
         );
         s.push_str(if i + 1 < scaling.len() { ",\n" } else { "\n" });
     }
@@ -518,8 +417,8 @@ pub fn bench_json(
     for (i, l) in latency.iter().enumerate() {
         let _ = write!(
             s,
-            "        {{\"scheme\": \"{}\", \"requests\": {}, \"offered_rps\": {:.1}, \"achieved_rps\": {:.1}, \"p50_us\": {:.1}, \"p95_us\": {:.1}, \"p99_us\": {:.1}, \"max_us\": {:.1}}}",
-            json_escape(&l.scheme),
+            "        {{\"scheme\": {}, \"requests\": {}, \"offered_rps\": {:.1}, \"achieved_rps\": {:.1}, \"p50_us\": {:.1}, \"p95_us\": {:.1}, \"p99_us\": {:.1}, \"max_us\": {:.1}}}",
+            quoted(&l.scheme),
             l.requests,
             l.offered_rps,
             l.achieved_rps,
@@ -542,12 +441,12 @@ pub fn bench_json(
         };
         let _ = write!(
             s,
-            "        {{\"mode\": \"{}\", \"nodes\": {}, \"processes\": {}, \"ops\": {}, \
+            "        {{\"mode\": {}, \"nodes\": {}, \"processes\": {}, \"ops\": {}, \
              \"wall_s\": {:.6}, \"ops_per_sec\": {:.1}, \"wire_frames\": {}, \
              \"wire_bytes\": {}, \"xnode_contexts\": {}, \"context_bytes_on_wire\": {}, \
              \"wire_frames_total\": {}, \"wire_bytes_total\": {}, \"wire_flushes\": {}, \
              \"frames_per_flush\": {:.3}, \"egress_queue_hwm\": {}}}",
-            json_escape(&p.mode),
+            quoted(&p.mode),
             p.nodes,
             p.processes,
             p.ops,
@@ -570,9 +469,9 @@ pub fn bench_json(
     for (i, f) in fault_matrix.iter().enumerate() {
         let _ = write!(
             s,
-            "        {{\"class\": \"{}\", \"runs\": {}, \"completed\": {}, \
+            "        {{\"class\": {}, \"runs\": {}, \"completed\": {}, \
              \"errored\": {}, \"settle_ms_mean\": {:.3}, \"settle_ms_max\": {:.3}}}",
-            json_escape(f.class),
+            quoted(f.class),
             f.runs,
             f.completed,
             f.errored,
@@ -627,8 +526,8 @@ pub fn bench_json(
         };
         let _ = write!(
             s,
-            "      {{\"scheme\": \"{}\", \"observed_cost\": {}, \"pct_of_bound\": {:.1}}}",
-            json_escape(sc.scheme),
+            "      {{\"scheme\": {}, \"observed_cost\": {}, \"pct_of_bound\": {:.1}}}",
+            quoted(sc.scheme),
             sc.observed,
             pct
         );
@@ -656,10 +555,9 @@ pub fn write_bench_json(
     suite: &SuiteResult,
     calibration: &Calibration,
     runtime: &RuntimeCalibration,
-    baseline: &RuntimeCalibration,
     obs: &ObsOverhead,
     placement: &crate::scorecard::PlacementScorecard,
-    scaling: &[ScalingPoint],
+    scaling: &[em2_rt::RtReport],
     latency: &[crate::serving::LatencyReport],
     transport: &[crate::netproc::TransportPoint],
     kv_uds: Option<&crate::netproc::KvUdsPoint>,
@@ -671,7 +569,6 @@ pub fn write_bench_json(
             suite,
             calibration,
             runtime,
-            baseline,
             obs,
             placement,
             scaling,
@@ -687,13 +584,6 @@ pub fn write_bench_json(
 mod tests {
     use super::*;
     use crate::experiments::run_suite;
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("§µ²"), "§µ²");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn calibration_reports_positive_throughput() {
@@ -794,7 +684,6 @@ mod tests {
         let suite = run_suite(crate::workloads::Scale::Quick, &["e9"]);
         let cal = calibrate();
         let rt_cal = calibrate_runtime();
-        let baseline = calibrate_runtime_thread_per_shard();
         let latency = [crate::serving::kv_open_loop(8, 300, 0.5, || {
             Box::new(em2_core::AlwaysMigrate)
         })];
@@ -822,7 +711,6 @@ mod tests {
             &suite,
             &cal,
             &rt_cal,
-            &baseline,
             &obs,
             &placement,
             &[],
@@ -833,7 +721,7 @@ mod tests {
         );
         assert!(j.starts_with("{\n") && j.ends_with("}\n"));
         for key in [
-            "\"schema\": 8",
+            "\"schema\": 9",
             "\"obs_overhead\"",
             "\"placement\"",
             "\"dp_bound\"",
@@ -857,8 +745,6 @@ mod tests {
             "\"sim_cycles_per_sec\"",
             "\"runtime\"",
             "\"ops_per_sec\"",
-            "\"baseline_thread_per_shard\"",
-            "\"speedup_vs_thread_per_shard\"",
             "\"shard_scaling\"",
             "\"latency\"",
             "\"p99_us\"",
@@ -894,14 +780,13 @@ mod tests {
     }
 
     #[test]
-    fn scaling_sweep_points_conserve_work_across_executors() {
+    fn scaling_sweep_points_conserve_work() {
         // One cheap point of the sweep shape (the full sweep runs in
-        // the experiments binary): both executors serve the identical
-        // workload, so ops must match exactly.
+        // the experiments binary): every access of the workload is
+        // served exactly once.
         let p = scaling_point(16);
         assert_eq!(p.shards, 16);
-        assert_eq!(p.multiplexed.total_ops(), p.thread_per_shard.total_ops());
-        assert!(p.multiplexed.ops_per_sec() > 0.0);
-        assert!(p.thread_per_shard.ops_per_sec() > 0.0);
+        assert_eq!(p.total_ops(), scaling_workload(16).total_accesses() as u64);
+        assert!(p.ops_per_sec() > 0.0);
     }
 }

@@ -37,7 +37,7 @@ pub struct VarDef {
 pub const KNOWN: &[VarDef] = &[
     VarDef {
         name: "EM2_RT_WORKERS",
-        doc: "worker-thread count for the multiplexed executor (default: host parallelism)",
+        doc: "worker-thread count for the runtime's executor (default: host parallelism)",
     },
     VarDef {
         name: "EM2_NET_CONNECT_TIMEOUT_MS",

@@ -21,7 +21,7 @@
 
 use crate::cluster::ClusterSpec;
 use crate::error::ClusterError;
-use crate::node::{run_workload_cluster_with_handoffs, NetReport};
+use crate::node::{run_workload_cluster, NetReport};
 use crate::proto::NetMsg;
 use crate::transport::{Acceptor, Duplex, FrameRx, FrameTx, Transport};
 use em2_model::DetRng;
@@ -699,33 +699,15 @@ impl FrameRx for ChaosRx {
 /// injection-to-detection latency. Never panics on an injected fault:
 /// the property under test is precisely that faults surface as typed
 /// errors.
-pub fn run_workload_cluster_chaos(
-    spec: &ClusterSpec,
-    cfg: &RtConfig,
-    workload: &Arc<Workload>,
-    placement: &Arc<dyn Placement>,
-    scheme_factory: fn() -> Box<dyn em2_core::decision::DecisionScheme>,
-    plan: &Arc<FaultPlan>,
-) -> Vec<(Result<NetReport, ClusterError>, Arc<ChaosState>)> {
-    run_workload_cluster_chaos_with_handoffs(
-        spec,
-        cfg,
-        workload,
-        placement,
-        scheme_factory,
-        plan,
-        &[],
-    )
-}
-
-/// [`run_workload_cluster_chaos`] with node 0 driving live shard
-/// handoffs mid-workload — the harness for faults landing **inside
-/// the handoff window**: frames dropped, truncated, or severed while
-/// a frozen shard is in flight must surface as typed errors (usually
-/// [`ClusterError::Handoff`] naming the stuck phase, via the
-/// coordinator's watchdog), never a hang or a wrong sum.
+///
+/// With non-empty `handoffs`, node 0 drives them mid-workload — the
+/// harness for faults landing **inside the handoff window**: frames
+/// dropped, truncated, or severed while a frozen shard is in flight
+/// must surface as typed errors (usually [`ClusterError::Handoff`]
+/// naming the stuck phase, via the coordinator's watchdog), never a
+/// hang or a wrong sum.
 #[allow(clippy::too_many_arguments)]
-pub fn run_workload_cluster_chaos_with_handoffs(
+pub fn run_workload_cluster_chaos(
     spec: &ClusterSpec,
     cfg: &RtConfig,
     workload: &Arc<Workload>,
@@ -750,7 +732,7 @@ pub fn run_workload_cluster_chaos_with_handoffs(
                 s.spawn(move || {
                     let transport = ChaosTransport::wrap(&spec, node, plan);
                     let state = transport.state();
-                    let r = run_workload_cluster_with_handoffs(
+                    let r = run_workload_cluster(
                         Box::new(transport),
                         spec,
                         node,

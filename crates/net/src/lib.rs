@@ -59,12 +59,14 @@
 //! let w = Arc::new(em2_trace::gen::micro::uniform(16, 16, 500, 256, 0.3, 7));
 //! let placement = Arc::new(FirstTouch::build(&w, 16, 64));
 //! let report = run_workload_cluster(
+//!     spec.kind.make(),
 //!     spec,
 //!     node,
 //!     RtConfig::eviction_free(16, 16),
 //!     &w,
 //!     placement,
 //!     || Box::new(em2_core::AlwaysMigrate),
+//!     &[],
 //! )
 //! .unwrap();
 //! println!("{} over {}", report.rt, report.transport);
@@ -81,17 +83,12 @@ pub mod proto;
 pub mod report;
 pub mod transport;
 
-pub use chaos::{
-    run_workload_cluster_chaos, run_workload_cluster_chaos_with_handoffs, ChaosState,
-    ChaosTransport, FaultAction, FaultPlan,
-};
+pub use chaos::{run_workload_cluster_chaos, ChaosState, ChaosTransport, FaultAction, FaultPlan};
 pub use cluster::{ClusterSpec, ClusterTimeouts, NodeSpec, TransportKind};
 pub use error::ClusterError;
 pub use node::{
-    run_workload_cluster, run_workload_cluster_in_process,
-    run_workload_cluster_in_process_with_handoffs, run_workload_cluster_with,
-    run_workload_cluster_with_handoffs, NetReport, NodeRuntime, WireSnapshot, BOUNCE_RETRIES_ENV,
-    CONNECT_TIMEOUT_ENV, HANDOFF_TIMEOUT_ENV,
+    run_workload_cluster, run_workload_cluster_in_process, NetReport, NodeRuntime, WireSnapshot,
+    BOUNCE_RETRIES_ENV, CONNECT_TIMEOUT_ENV, HANDOFF_TIMEOUT_ENV,
 };
 pub use report::{merge_obs_sidecars, obs_sidecar, write_summary_with_obs, CounterSummary};
 pub use transport::{

@@ -870,17 +870,6 @@ impl Links {
     /// source-node half of the Transfer step. Returns `false` when the
     /// handoff cannot proceed (failure already recorded).
     fn freeze_and_ship(&self, hid: u64, shard: usize, to: u32) -> bool {
-        if !self.inbox().supports_handoff() {
-            self.fail(ClusterError::Handoff {
-                phase: "freeze".into(),
-                detail: format!(
-                    "node {} runs the thread-per-shard executor, which cannot freeze \
-                     a live shard (use the multiplexed executor for elastic clusters)",
-                    self.me
-                ),
-            });
-            return false;
-        }
         if self.directory.owner_of(shard) != self.me as u32 {
             self.fail(ClusterError::Handoff {
                 phase: "freeze".into(),
@@ -1992,8 +1981,11 @@ fn connect_budget_ms(spec: &ClusterSpec) -> u64 {
 }
 
 impl NodeRuntime {
-    /// Join the cluster as `node` and bring the local shard range up,
-    /// over the transport named by `spec.kind`.
+    /// Join the cluster as `node` over `transport` and bring the local
+    /// shard range up. Callers pass `spec.kind.make()` for the
+    /// transport `spec` names; the chaos harness injects
+    /// [`crate::chaos::ChaosTransport`] here. `transport.kind()` should
+    /// agree with `spec.kind` (it names the transport in reports).
     ///
     /// Blocks until connected to every peer: the handshake tolerates
     /// peers launching in any order within the spec's connect budget
@@ -2004,35 +1996,6 @@ impl NodeRuntime {
     /// migrates, and `scheme_factory` / `barrier_quotas` must be
     /// identical on every node (the handshake can only check the
     /// topology).
-    #[allow(clippy::too_many_arguments)]
-    pub fn start(
-        spec: ClusterSpec,
-        node: usize,
-        cfg: RtConfig,
-        name: impl Into<String>,
-        placement: Arc<dyn Placement>,
-        registry: TaskRegistry,
-        scheme_factory: fn() -> Box<dyn em2_core::decision::DecisionScheme>,
-        barrier_quotas: Vec<usize>,
-    ) -> Result<NodeRuntime, ClusterError> {
-        let transport = spec.kind.make();
-        Self::start_with_transport(
-            transport,
-            spec,
-            node,
-            cfg,
-            name,
-            placement,
-            registry,
-            scheme_factory,
-            barrier_quotas,
-        )
-    }
-
-    /// [`NodeRuntime::start`] over an explicit transport — the seam
-    /// the chaos harness injects [`crate::chaos::ChaosTransport`]
-    /// through. `transport.kind()` should agree with `spec.kind` (it
-    /// names the transport in reports).
     #[allow(clippy::too_many_arguments)]
     pub fn start_with_transport(
         transport: Box<dyn Transport>,
@@ -2511,66 +2474,23 @@ fn connect_with_retry(
     }
 }
 
-/// Replay a traced workload across the cluster: this node submits one
+/// Replay a traced workload across the cluster over `transport`
+/// (`spec.kind.make()`, or a chaos wrapper): this node submits one
 /// [`em2_rt::TraceTask`] per workload thread whose **native shard it
 /// owns**, under the thread's own id — together the nodes submit
 /// exactly the tasks a single-process [`em2_rt::run_workload`] would,
 /// and the summed counters must match it bit-for-bit (eviction-free
 /// config; the E12 agreement property).
+///
+/// **Live shard handoffs**: after submitting its tasks, node 0
+/// requests each `(shard, to)` in `handoffs` and blocks until every
+/// one that actually moves a shard has committed (the directory epoch
+/// counts commits) *before* closing admission — so the handoffs
+/// demonstrably overlap the workload, and a wedged handoff surfaces as
+/// the coordinator watchdog's typed error rather than a hang here.
+/// Other nodes ignore `handoffs`; pass `&[]` for a static cluster.
 #[allow(clippy::too_many_arguments)]
 pub fn run_workload_cluster(
-    spec: ClusterSpec,
-    node: usize,
-    cfg: RtConfig,
-    workload: &Arc<Workload>,
-    placement: Arc<dyn Placement>,
-    scheme_factory: fn() -> Box<dyn em2_core::decision::DecisionScheme>,
-) -> Result<NetReport, ClusterError> {
-    let transport = spec.kind.make();
-    run_workload_cluster_with(
-        transport,
-        spec,
-        node,
-        cfg,
-        workload,
-        placement,
-        scheme_factory,
-    )
-}
-
-/// [`run_workload_cluster`] over an explicit transport (the chaos
-/// harness's entry point).
-#[allow(clippy::too_many_arguments)]
-pub fn run_workload_cluster_with(
-    transport: Box<dyn Transport>,
-    spec: ClusterSpec,
-    node: usize,
-    cfg: RtConfig,
-    workload: &Arc<Workload>,
-    placement: Arc<dyn Placement>,
-    scheme_factory: fn() -> Box<dyn em2_core::decision::DecisionScheme>,
-) -> Result<NetReport, ClusterError> {
-    run_workload_cluster_with_handoffs(
-        transport,
-        spec,
-        node,
-        cfg,
-        workload,
-        placement,
-        scheme_factory,
-        &[],
-    )
-}
-
-/// [`run_workload_cluster_with`] plus **live shard handoffs**: after
-/// submitting its tasks, node 0 requests each `(shard, to)` handoff
-/// and blocks until every one that actually moves a shard has
-/// committed (the directory epoch counts commits) *before* closing
-/// admission — so the handoffs demonstrably overlap the workload, and
-/// a wedged handoff surfaces as the coordinator watchdog's typed
-/// error rather than a hang here. Other nodes ignore `handoffs`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_workload_cluster_with_handoffs(
     transport: Box<dyn Transport>,
     spec: ClusterSpec,
     node: usize,
@@ -2638,30 +2558,13 @@ pub fn run_workload_cluster_with_handoffs(
 
 /// Run a whole cluster inside one process (one OS thread per node
 /// driving [`run_workload_cluster`]) — the loopback configuration the
-/// E12 experiment and the agreement tests use. Reports are returned in
-/// node order; the first node failure is the `Err`.
+/// E12 experiment and the agreement tests use. With non-empty
+/// `handoffs`, node 0 drives them mid-workload (the E13
+/// configuration): each `(shard, to)` commits while tasks are still
+/// running, and the summed counters must *still* match the
+/// single-process run bit-for-bit. Reports are returned in node order;
+/// the first node failure is the `Err`.
 pub fn run_workload_cluster_in_process(
-    spec: &ClusterSpec,
-    cfg: &RtConfig,
-    workload: &Arc<Workload>,
-    placement: &Arc<dyn Placement>,
-    scheme_factory: fn() -> Box<dyn em2_core::decision::DecisionScheme>,
-) -> Result<Vec<NetReport>, ClusterError> {
-    run_workload_cluster_in_process_with_handoffs(
-        spec,
-        cfg,
-        workload,
-        placement,
-        scheme_factory,
-        &[],
-    )
-}
-
-/// [`run_workload_cluster_in_process`] with node 0 driving the given
-/// live shard handoffs mid-workload (the E13 configuration): each
-/// `(shard, to)` commits while tasks are still running, and the summed
-/// counters must *still* match the single-process run bit-for-bit.
-pub fn run_workload_cluster_in_process_with_handoffs(
     spec: &ClusterSpec,
     cfg: &RtConfig,
     workload: &Arc<Workload>,
@@ -2682,9 +2585,8 @@ pub fn run_workload_cluster_in_process_with_handoffs(
                     Vec::new()
                 };
                 s.spawn(move || {
-                    let transport = spec.kind.make();
-                    run_workload_cluster_with_handoffs(
-                        transport,
+                    run_workload_cluster(
+                        spec.kind.make(),
                         spec,
                         node,
                         cfg,

@@ -19,8 +19,8 @@
 
 use em2_core::decision::{DecisionScheme, HistoryPredictor};
 use em2_net::{
-    run_workload_cluster_chaos, run_workload_cluster_chaos_with_handoffs, ClusterError,
-    ClusterSpec, ClusterTimeouts, CounterSummary, FaultAction, FaultPlan, TransportKind,
+    run_workload_cluster_chaos, ClusterError, ClusterSpec, ClusterTimeouts, CounterSummary,
+    FaultAction, FaultPlan, TransportKind,
 };
 use em2_placement::{FirstTouch, Placement};
 use em2_rt::{run_workload, RtConfig};
@@ -110,7 +110,8 @@ fn assert_chaos_property(
 ) -> Vec<Result<CounterSummary, ClusterError>> {
     let plan = Arc::new(plan);
     let t0 = Instant::now();
-    let results = run_workload_cluster_chaos(spec, &fx.cfg, &fx.w, &fx.placement, scheme, &plan);
+    let results =
+        run_workload_cluster_chaos(spec, &fx.cfg, &fx.w, &fx.placement, scheme, &plan, &[]);
     let elapsed = t0.elapsed();
     assert!(
         elapsed < RUN_BOUND,
@@ -406,8 +407,10 @@ fn chaos_kill_child_role() {
     let dir = std::path::PathBuf::from(em2_model::env::raw(KILL_DIR_ENV).expect("scratch dir env"));
     let w = Arc::new(chaos_workload());
     let placement: Arc<dyn Placement> = Arc::new(FirstTouch::build(&w, SHARDS, 64));
-    let nrt = NodeRuntime::start(
-        kill_spec(&dir),
+    let spec = kill_spec(&dir);
+    let nrt = NodeRuntime::start_with_transport(
+        spec.kind.make(),
+        spec,
         1,
         RtConfig::with_shards(SHARDS),
         "chaos-kill",
@@ -447,8 +450,10 @@ fn killed_peer_process_is_detected_within_the_heartbeat_deadline() {
     let w = Arc::new(chaos_workload());
     let placement: Arc<dyn Placement> = Arc::new(FirstTouch::build(&w, SHARDS, 64));
     // Blocks until the child connects and handshakes.
-    let nrt = NodeRuntime::start(
-        kill_spec(&dir),
+    let spec = kill_spec(&dir);
+    let nrt = NodeRuntime::start_with_transport(
+        spec.kind.make(),
+        spec,
         0,
         RtConfig::with_shards(SHARDS),
         "chaos-kill",
@@ -639,7 +644,7 @@ fn assert_handoff_chaos_property(
 ) -> Vec<Result<CounterSummary, ClusterError>> {
     let plan = Arc::new(plan);
     let t0 = Instant::now();
-    let results = run_workload_cluster_chaos_with_handoffs(
+    let results = run_workload_cluster_chaos(
         spec,
         &fx.cfg,
         &fx.w,
@@ -802,8 +807,10 @@ fn chaos_handoff_kill_child_role() {
     let dir = std::path::PathBuf::from(em2_model::env::raw(KILL_DIR_ENV).expect("scratch dir env"));
     let w = Arc::new(chaos_workload());
     let placement: Arc<dyn Placement> = Arc::new(FirstTouch::build(&w, SHARDS, 64));
-    let nrt = NodeRuntime::start(
-        handoff_kill_spec(&dir),
+    let spec = handoff_kill_spec(&dir);
+    let nrt = NodeRuntime::start_with_transport(
+        spec.kind.make(),
+        spec,
         1,
         RtConfig::with_shards(SHARDS),
         "chaos-handoff-kill",

@@ -35,8 +35,8 @@ fn assert_cluster_agreement(
     let single = run_workload(cfg.clone(), &w, Arc::clone(&placement), factory);
     let expected = CounterSummary::from_rt(&single);
 
-    let reports =
-        run_workload_cluster_in_process(&spec, &cfg, &w, &placement, factory).expect("cluster run");
+    let reports = run_workload_cluster_in_process(&spec, &cfg, &w, &placement, factory, &[])
+        .expect("cluster run");
     assert_eq!(reports.len(), spec.num_nodes());
     let total = CounterSummary::sum(reports.iter().map(CounterSummary::from_net));
 
@@ -147,11 +147,15 @@ fn bounded_pool_evictions_cross_the_wire_and_conserve_work() {
     let mut cfg = RtConfig::with_shards(8);
     cfg.guest_contexts = 1;
     cfg.quantum = 1;
-    let reports =
-        run_workload_cluster_in_process(&ClusterSpec::loopback(2, 8), &cfg, &w, &placement, || {
-            Box::new(AlwaysMigrate)
-        })
-        .expect("cluster run");
+    let reports = run_workload_cluster_in_process(
+        &ClusterSpec::loopback(2, 8),
+        &cfg,
+        &w,
+        &placement,
+        || Box::new(AlwaysMigrate),
+        &[],
+    )
+    .expect("cluster run");
     let total = CounterSummary::sum(reports.iter().map(CounterSummary::from_net));
     assert_eq!(
         total.total_ops(),
@@ -181,7 +185,8 @@ fn mismatched_topologies_refuse_to_connect() {
         let placement = Arc::clone(&placement);
         let w = Arc::clone(&w);
         move || {
-            NodeRuntime::start(
+            NodeRuntime::start_with_transport(
+                spec_a.kind.make(),
                 spec_a,
                 0,
                 RtConfig::eviction_free(4, 4),
@@ -193,7 +198,8 @@ fn mismatched_topologies_refuse_to_connect() {
             )
         }
     });
-    let r1 = NodeRuntime::start(
+    let r1 = NodeRuntime::start_with_transport(
+        spec_b.kind.make(),
         spec_b,
         1,
         RtConfig::eviction_free(8, 4),

@@ -13,8 +13,8 @@
 
 use em2_core::decision::{AlwaysMigrate, DecisionScheme, HistoryPredictor};
 use em2_net::{
-    run_workload_cluster_in_process_with_handoffs, ClusterSpec, ClusterTimeouts, CounterSummary,
-    NodeSpec, TransportKind,
+    run_workload_cluster_in_process, ClusterSpec, ClusterTimeouts, CounterSummary, NodeSpec,
+    TransportKind,
 };
 use em2_placement::{FirstTouch, Placement};
 use em2_rt::{run_workload, RtConfig};
@@ -52,20 +52,26 @@ fn timeouts() -> ClusterTimeouts {
 }
 
 /// Run the workload single-process and on the given cluster with the
-/// given live handoffs; assert the sums are bit-equal and that every
-/// requested ownership change actually committed (the epoch counts
-/// them). Returns the summed cluster summary.
+/// given live handoffs, on `workers` executor workers per node (`0` =
+/// auto: `EM2_RT_WORKERS`, else the host's parallelism); assert the
+/// sums are bit-equal and that every requested ownership change
+/// actually committed (the epoch counts them). Returns the summed
+/// cluster summary.
 fn assert_handoff_agreement(
     spec: &ClusterSpec,
     handoffs: &[(usize, usize)],
     factory: SchemeFactory,
+    workers: usize,
     what: &str,
 ) -> CounterSummary {
     let w = handoff_workload();
     let threads = w.num_threads();
     let placement: Arc<dyn Placement> = Arc::new(FirstTouch::build(&w, SHARDS, 64));
     let w = Arc::new(w);
-    let cfg = RtConfig::eviction_free(SHARDS, threads);
+    let cfg = RtConfig {
+        workers,
+        ..RtConfig::eviction_free(SHARDS, threads)
+    };
 
     let single = run_workload(cfg.clone(), &w, Arc::clone(&placement), factory);
     let expected = CounterSummary::from_rt(&single);
@@ -81,10 +87,8 @@ fn assert_handoff_agreement(
     }
     assert!(commits >= 2, "{what}: the scenario must move shards");
 
-    let reports = run_workload_cluster_in_process_with_handoffs(
-        spec, &cfg, &w, &placement, factory, handoffs,
-    )
-    .unwrap_or_else(|e| panic!("{what}: cluster run failed: {e}"));
+    let reports = run_workload_cluster_in_process(spec, &cfg, &w, &placement, factory, handoffs)
+        .unwrap_or_else(|e| panic!("{what}: cluster run failed: {e}"));
     assert_eq!(reports.len(), spec.num_nodes());
     for r in &reports {
         assert_eq!(
@@ -110,14 +114,19 @@ fn live_handoffs_mid_workload_sum_bit_equal_loopback() {
     // Two nodes, two live handoffs in opposite directions: node 0
     // gives shard 1 away and takes shard 6, while tasks keep running
     // and migrating over the same wire the frozen state travels on.
-    for (name, factory) in schemes() {
-        let spec = ClusterSpec::loopback(2, SHARDS).with_timeouts(timeouts());
-        assert_handoff_agreement(
-            &spec,
-            &[(1, 1), (6, 0)],
-            factory,
-            &format!("loopback/{name}"),
-        );
+    // W = 1 is the case where a freeze must wait out the only worker's
+    // in-flight poll.
+    for workers in [1, 2] {
+        for (name, factory) in schemes() {
+            let spec = ClusterSpec::loopback(2, SHARDS).with_timeouts(timeouts());
+            assert_handoff_agreement(
+                &spec,
+                &[(1, 1), (6, 0)],
+                factory,
+                workers,
+                &format!("loopback/{name}/W={workers}"),
+            );
+        }
     }
 }
 
@@ -131,6 +140,7 @@ fn repeated_handoffs_of_one_shard_sum_bit_equal_loopback() {
         &spec,
         &[(3, 1), (3, 0), (3, 1)],
         || Box::new(HistoryPredictor::new(1.0, 0.5)),
+        0,
         "loopback/ping-pong",
     );
 }
@@ -155,6 +165,7 @@ fn live_handoffs_mid_workload_sum_bit_equal_uds() {
             &spec,
             &[(0, 2), (6, 1), (3, 0)],
             factory,
+            0,
             &format!("uds/{name}"),
         );
     }
@@ -179,6 +190,7 @@ fn joining_node_with_zero_shards_receives_live_shards_and_agrees() {
         &spec,
         &[(2, 2), (5, 2)],
         || Box::new(HistoryPredictor::new(1.0, 0.5)),
+        0,
         "loopback/join",
     );
     assert!(
@@ -218,6 +230,7 @@ fn rolling_restart_uds_smoke() {
         &spec,
         &handoffs,
         || Box::new(HistoryPredictor::new(1.0, 0.5)),
+        0,
         "uds/rolling-restart",
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -246,7 +259,8 @@ fn assert_epoch_mismatch_refused(spec_a: ClusterSpec, what: &str) {
         let placement = Arc::clone(&placement);
         let w = Arc::clone(&w);
         move || {
-            NodeRuntime::start(
+            NodeRuntime::start_with_transport(
+                spec_a.kind.make(),
                 spec_a,
                 0,
                 RtConfig::eviction_free(4, 4),
@@ -258,7 +272,8 @@ fn assert_epoch_mismatch_refused(spec_a: ClusterSpec, what: &str) {
             )
         }
     });
-    let r1 = NodeRuntime::start(
+    let r1 = NodeRuntime::start_with_transport(
+        spec_b.kind.make(),
         spec_b,
         1,
         RtConfig::eviction_free(4, 4),

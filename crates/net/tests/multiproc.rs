@@ -74,13 +74,16 @@ fn multiproc_child_role() {
     let threads = w.num_threads();
     let placement: Arc<dyn Placement> = Arc::new(FirstTouch::build(&w, CORES, 64));
     let w = Arc::new(w);
+    let spec = spec_for(&dir);
     let report = run_workload_cluster(
-        spec_for(&dir),
+        spec.kind.make(),
+        spec,
         node,
         RtConfig::eviction_free(CORES, threads),
         &w,
         placement,
         scheme,
+        &[],
     )
     .expect("child cluster run");
     // Counters plus (when EM2_OBS=1, e.g. the CI obs smoke) the

@@ -19,9 +19,8 @@
 
 use em2_core::decision::{AlwaysMigrate, DecisionScheme, HistoryPredictor};
 use em2_net::{
-    run_workload_cluster_chaos, run_workload_cluster_in_process,
-    run_workload_cluster_in_process_with_handoffs, ClusterSpec, ClusterTimeouts, CounterSummary,
-    FaultPlan, NodeRuntime, TransportKind,
+    run_workload_cluster_chaos, run_workload_cluster_in_process, ClusterSpec, ClusterTimeouts,
+    CounterSummary, FaultPlan, NodeRuntime, TransportKind,
 };
 use em2_obs::{Event, EventKind, NodeObs, ObsConfig, Snapshot};
 use em2_placement::{FirstTouch, Placement};
@@ -72,9 +71,9 @@ fn enabled_obs_is_invisible_to_the_deterministic_counters() {
     let mut cfg_on = cfg_off.clone();
     cfg_on.obs = Some(ObsConfig::on());
 
-    let off = run_workload_cluster_in_process(&spec("off"), &cfg_off, &w, &placement, scheme)
+    let off = run_workload_cluster_in_process(&spec("off"), &cfg_off, &w, &placement, scheme, &[])
         .expect("obs-off cluster");
-    let on = run_workload_cluster_in_process(&spec("on"), &cfg_on, &w, &placement, scheme)
+    let on = run_workload_cluster_in_process(&spec("on"), &cfg_on, &w, &placement, scheme, &[])
         .expect("obs-on cluster");
 
     let sum_off = CounterSummary::sum(off.iter().map(CounterSummary::from_net));
@@ -169,7 +168,8 @@ fn a_cross_node_route_reads_back_from_the_merged_rings() {
                 let (placement, quotas) = (Arc::clone(&placement), quotas.clone());
                 s.spawn(move || {
                     let (first, count) = spec.span(node);
-                    let mut nrt = NodeRuntime::start(
+                    let mut nrt = NodeRuntime::start_with_transport(
+                        spec.kind.make(),
                         spec,
                         node,
                         cfg,
@@ -278,10 +278,8 @@ fn snapshot_merge_is_exact_across_live_handoffs() {
         .filter(|&&(s, to)| spec.owner_of(s) != to)
         .count() as u64;
     assert_eq!(commits, 2, "the scenario must move shards");
-    let reports = run_workload_cluster_in_process_with_handoffs(
-        &spec, &cfg, &w, &placement, scheme, &handoffs,
-    )
-    .expect("handoff cluster");
+    let reports = run_workload_cluster_in_process(&spec, &cfg, &w, &placement, scheme, &handoffs)
+        .expect("handoff cluster");
     assert_eq!(reports.len(), NODES);
 
     let parts: Vec<Snapshot> = reports
@@ -420,7 +418,8 @@ fn crashed_peer_leaves_a_flight_recording_naming_the_edge() {
     // Node 1 dies abruptly after its 4th egress frame; node 0 survives
     // to observe the loss and must dump a post-mortem.
     let plan = Arc::new(FaultPlan::new().crash_node(1, 4));
-    let results = run_workload_cluster_chaos(&spec("flight"), &cfg, &w, &placement, scheme, &plan);
+    let results =
+        run_workload_cluster_chaos(&spec("flight"), &cfg, &w, &placement, scheme, &plan, &[]);
     assert!(
         results.iter().any(|(r, _)| r.is_err()),
         "a crashed node must produce a typed error"

@@ -125,4 +125,11 @@ mod tests {
             r#"{"n":3,"s":"a\"b\\c\nd","f":1.500,"bad":null,"arr":[1,2]}"#
         );
     }
+
+    #[test]
+    fn escaping_passes_unicode_and_hex_escapes_controls() {
+        let mut out = String::new();
+        push_str_escaped(&mut out, "§µ²\u{1}");
+        assert_eq!(out, "\"§µ²\\u0001\"");
+    }
 }

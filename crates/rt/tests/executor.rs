@@ -1,4 +1,4 @@
-//! The multiplexed executor's own guarantees: worker-count-independent
+//! The executor's own guarantees: worker-count-independent
 //! counters, shard scaling far past the host's core count, bounded
 //! polling (no busy-wait), stall/retry under fully-pinned guest pools,
 //! and the dynamic submission path.
@@ -6,7 +6,7 @@
 use em2_core::decision::{AlwaysMigrate, Decision, DecisionCtx, DecisionScheme, HistoryPredictor};
 use em2_model::{Addr, CoreId};
 use em2_placement::{FirstTouch, Placement, Striped};
-use em2_rt::{run_workload, ExecutorMode, Op, RtConfig, RtReport, Runtime, Task, TaskSpec};
+use em2_rt::{run_workload, Op, RtConfig, RtReport, Runtime, Task, TaskSpec};
 use em2_trace::gen::micro;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -26,18 +26,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// The E11 satellite property: any worker count W ∈ {1, 2, 4, 8}
-    /// — and the thread-per-shard baseline — yields byte-identical
-    /// counters in the eviction-free configuration. Determinism comes
+    /// yields byte-identical counters in the eviction-free
+    /// configuration. Determinism comes
     /// from per-thread program order, which multiplexing only
     /// interleaves across threads.
     #[test]
     fn any_worker_count_yields_identical_counters(seed in 0u64..1_000) {
         let w = Arc::new(micro::uniform(8, 8, 300, 128, 0.3, seed));
         let p = Arc::new(FirstTouch::build(&w, 8, 64));
-        let run = |workers: usize, executor: ExecutorMode| {
+        let run = |workers: usize| {
             let mut cfg = RtConfig::eviction_free(8, 8);
             cfg.workers = workers;
-            cfg.executor = executor;
             run_workload(
                 cfg,
                 &w,
@@ -45,14 +44,12 @@ proptest! {
                 || Box::new(HistoryPredictor::new(1.0, 0.5)),
             )
         };
-        let reference = run(1, ExecutorMode::Multiplexed);
+        let reference = run(1);
         prop_assert!(reference.total_ops() > 0);
         for workers in [2usize, 4, 8] {
-            let r = run(workers, ExecutorMode::Multiplexed);
+            let r = run(workers);
             prop_assert_eq!(counters(&r), counters(&reference), "W={} diverged", workers);
         }
-        let tps = run(0, ExecutorMode::ThreadPerShard);
-        prop_assert_eq!(counters(&tps), counters(&reference), "thread-per-shard diverged");
     }
 }
 
@@ -73,8 +70,7 @@ fn scaling_smoke_256_shards_single_worker() {
 }
 
 /// The paper's largest geometry: S = 1024 shards multiplex onto
-/// whatever the host offers (no thread-per-shard — 1024 OS threads
-/// never exist).
+/// whatever the host offers (1024 OS threads never exist).
 #[test]
 fn a_thousand_shards_multiplex_onto_the_host() {
     let w = Arc::new(micro::uniform(64, 1024, 100, 2048, 0.3, 23));

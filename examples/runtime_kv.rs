@@ -327,7 +327,8 @@ fn run_closed_loop_cluster(
     stats_ms: Option<u64>,
 ) -> em2::net::NetReport {
     let placement: Arc<dyn Placement> = Arc::new(Striped::new(SHARDS, 64));
-    let mut nrt = NodeRuntime::start(
+    let mut nrt = NodeRuntime::start_with_transport(
+        spec.kind.make(),
         spec.clone(),
         node,
         kv_config(stats_ms),
